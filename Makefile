@@ -102,9 +102,10 @@ mutation-smoke:
 	SMOKE_DIR=/tmp/sea-mut-smoke sh scripts/mutation-smoke.sh
 
 # End-to-end zero-copy serving smoke, mirroring the CI mmap-smoke job: pack
-# a compressed v2 snapshot, boot seaserve mapped, verify /graphs reports
-# mapped:true, /search and /admin/mutate work over the mapped base, and the
-# mapped boot wall-time stays flat across a 4× snapshot-size increase.
+# a compressed snapshot, boot seaserve mapped and journaled, verify /graphs
+# reports mapped:true, /search and /admin/mutate work over the mapped base,
+# a compacted snapshot reboots still mapped, and the mapped boot wall-time
+# stays flat across a 4× snapshot-size increase.
 mmap-smoke:
 	@rm -rf /tmp/sea-mmap-smoke && mkdir -p /tmp/sea-mmap-smoke
 	$(GO) build -o /tmp/sea-mmap-smoke/ ./cmd/...

@@ -92,18 +92,22 @@
 // Snapshots are produced by cmd/datagen -pack, cmd/seacli pack (text →
 // snapshot), or any engine at runtime.
 //
-// Two on-disk layouts exist. Version 1 is the sequential heap-loadable
-// stream. Version 2 (seacli pack -mmap-align, or PackOptions.Align) lays
-// every array out at an 8-byte-aligned file offset behind a section table,
-// so OpenMappedSnapshot serves the snapshot zero-copy from a read-only
-// memory mapping — boot cost is O(header + dictionary), independent of
-// graph size. PackOptions.Compress additionally stores the adjacency as
-// per-node delta+uvarint runs (decoded into caller scratch at query time)
+// There is one on-disk layout: every array sits at an 8-byte-aligned file
+// offset behind a section table, so OpenMappedSnapshot serves the snapshot
+// zero-copy from a read-only memory mapping — boot cost is O(header +
+// dictionary), independent of graph size. PackOptions.Compress (seacli
+// pack -compress) additionally stores the adjacency as per-node
+// delta+uvarint runs (decoded into caller scratch at query time)
 // while keeping Degree and positional edge IDs O(1). Every consumer reaches
 // the graph through the Adjacency/GraphStore interfaces, so heap, mapped
 // and compressed backings answer byte-identically — including live
 // mutation, which overlays heap deltas over the read-only mapped base.
-// DetectSnapshotFile describes any file's layout without opening it.
+// Journal compaction and replication bootstrap rewrite the layout a dataset
+// was mounted from, so it keeps its zero-copy boot across both; a hot
+// reload or a replica bootstrap verifies the whole file before it serves.
+// DetectSnapshotFile describes any file's layout without opening it. Files
+// of the retired version-1 stream fail with ErrSnapshotVersion; repack them
+// from their text source with seacli pack.
 //
 // # Multi-graph serving
 //
@@ -260,18 +264,10 @@
 //
 // # Migrating from the method-specific entry points
 //
-// The pre-Request free functions remain as thin deprecated wrappers:
+// Every method answers one Request through Execute/ExecuteWithMetric, and
+// Engine.Batch answers many. The one pre-Request entry point left is
 //
-//	Search(g, m, q, opts)            → Execute/ExecuteWithMetric, MethodSEA (trace in Outcome.SEA)
-//	SearchWithDist(g, dist, q, opts) → Execute with MethodSEA, or NewEngine (cached dist vectors)
-//	ExactSearch(g, q, k, dist, cfg)  → Execute with MethodExact and Request.MaxStates
-//	ACQ(g, q, k, model)              → Execute with MethodACQ
-//	LocATC(g, q, k, model)           → Execute with MethodLocATC
-//	VAC(g, m, q, k, model)           → ExecuteWithMetric with MethodVAC
-//	EVAC(g, m, q, k, model, states)  → ExecuteWithMetric with MethodEVAC and Request.MaxStates
-//	BatchSearch(g, m, qs, opts, w)   → Engine.Batch over []Request
 //	Engine.Search(ctx, q, opts)      → Engine.Query(ctx, Request)
-//	Engine.BatchSearch(ctx, qs, o)   → Engine.Batch(ctx, []Request)
 //
 // Every sea.Options field has a Request counterpart (FromOptions/Options
 // convert losslessly), and the old per-package error values now alias the

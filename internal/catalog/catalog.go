@@ -52,7 +52,18 @@ type Dataset struct {
 	source  string
 	swaps   uint64
 	live    *liveState     // journaling state; nil when mounted without a journal
-	mounted *store.Mounted // backing mapping; nil for heap/text mounts
+	mounted *store.Mounted // backing of a file mount (mapped or heap); nil for engine mounts
+}
+
+// layoutLocked is the snapshot layout the dataset was mounted from —
+// compressed or flat — which compaction and replication write again, so a
+// dataset keeps its zero-copy boot and its size across both. Text-source
+// and engine mounts write the flat layout. The caller holds d.mu.
+func (d *Dataset) layoutLocked() store.PackOptions {
+	if d.mounted == nil {
+		return store.PackOptions{}
+	}
+	return store.PackOptions{Compress: d.mounted.Info.Compressed}
 }
 
 // Engine returns the dataset's current engine. The pointer stays valid for
@@ -185,8 +196,8 @@ func (c *Catalog) Swap(name string, eng *engine.Engine, source string) (*engine.
 	return c.swapMounted(name, eng, source, nil)
 }
 
-// swapMounted is Swap carrying the new engine's backing mapping (nil for
-// heap-resident engines).
+// swapMounted is Swap carrying the new engine's file backing (nil for an
+// engine built in memory).
 func (c *Catalog) swapMounted(name string, eng *engine.Engine, source string, m *store.Mounted) (*engine.Engine, error) {
 	if eng == nil {
 		return nil, cserr.Invalidf("catalog: nil engine for %q", name)
@@ -411,40 +422,54 @@ func (d *Dataset) info(def string) Info {
 }
 
 // openPath builds an engine from the file at path: a packed snapshot opens
-// with zero recomputation — zero-copy mapped when the format and platform
-// allow and mmap is enabled — anything else is parsed as the text exchange
-// format and indexed from scratch. The returned Mounted handle owns the
-// mapping backing the engine (nil for heap-resident opens).
-func (c *Catalog) openPath(path string, cfg engine.Config) (*engine.Engine, *store.Mounted, error) {
+// with zero recomputation — zero-copy mapped when the platform allows and
+// mmap is enabled — anything else is parsed as the text exchange format and
+// indexed from scratch. The returned Mounted handle owns the backing and
+// records the layout it came from; its mapping, if any, must outlive the
+// engine. verify runs the full checksum and structure checks over a mapped
+// snapshot before any engine is built on it (Mounted.Verify); boot mounts
+// skip them to stay O(header + dictionary). Heap opens and text parses
+// check everything either way.
+func (c *Catalog) openPath(path string, cfg engine.Config, verify bool) (*engine.Engine, *store.Mounted, error) {
 	c.mu.RLock()
 	useMmap := !c.mmapOff
 	c.mu.RUnlock()
-	if !useMmap {
+	var m *store.Mounted
+	if useMmap {
+		var err error
+		if m, err = store.MountGraphFile(path); err != nil {
+			return nil, nil, err
+		}
+	} else {
 		snap, err := store.OpenGraphFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		eng, err := engine.NewFromSnapshot(snap, cfg)
-		return eng, nil, err
+		m = &store.Mounted{Store: snap.Store, Index: snap.Index, Info: snap.Info}
 	}
-	m, err := store.MountGraphFile(path)
-	if err != nil {
-		return nil, nil, err
+	if verify {
+		if err := m.Verify(); err != nil {
+			m.Close() // nothing reads the mapping yet
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	eng, err := engine.NewFromSnapshot(m.Snapshot(), cfg)
 	if err != nil {
 		m.Close() // nothing reads the mapping yet
 		return nil, nil, err
 	}
-	if !m.Mapped() {
-		return eng, nil, nil
-	}
 	return eng, m, nil
 }
 
 // MountPath mounts the dataset file (snapshot or text) at path under name.
+// It is the boot path: a snapshot maps after header and section-table
+// checks only, trusting bytes that were verified when they were written.
 func (c *Catalog) MountPath(name, path string, cfg engine.Config) (*Dataset, error) {
-	eng, m, err := c.openPath(path, cfg)
+	return c.mountPath(name, path, cfg, false)
+}
+
+func (c *Catalog) mountPath(name, path string, cfg engine.Config, verify bool) (*Dataset, error) {
+	eng, m, err := c.openPath(path, cfg, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -460,12 +485,13 @@ func (c *Catalog) MountPath(name, path string, cfg engine.Config) (*Dataset, err
 }
 
 // SwapPath loads the dataset file at path off to the side and hot-swaps it
-// into name — mounting it fresh when the name is new. The load happens
-// before the flip, so a corrupt file never disturbs the running engine.
+// into name — mounting it fresh when the name is new. The file is fully
+// verified (checksum and structure, mapped or not) before the flip, so a
+// corrupt file never disturbs the running engine.
 func (c *Catalog) SwapPath(name, path string, cfg engine.Config) (*Dataset, error) {
 	d, err := c.dataset(name)
 	if err == nil {
-		eng, m, err := c.openPath(path, d.cfg)
+		eng, m, err := c.openPath(path, d.cfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -475,7 +501,7 @@ func (c *Catalog) SwapPath(name, path string, cfg engine.Config) (*Dataset, erro
 		}
 		return d, nil
 	}
-	return c.MountPath(name, path, cfg)
+	return c.mountPath(name, path, cfg, true)
 }
 
 // Manifest lists the datasets a serving process mounts at boot.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // makeEngine builds an engine over a generated analog.
@@ -34,7 +35,7 @@ func makeEngine(t testing.TB, name string, scale float64) *engine.Engine {
 func packFile(t testing.TB, eng *engine.Engine, name string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := eng.WriteSnapshot(&buf); err != nil {
+	if _, err := eng.WriteSnapshot(&buf, store.PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), name)

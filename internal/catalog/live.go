@@ -25,6 +25,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,7 +78,7 @@ func (c *Catalog) MountPathJournaled(name, path, journalPath string, cfg engine.
 			src = sidecar
 		}
 	}
-	eng, mounted, err := c.openPath(src, cfg)
+	eng, mounted, err := c.openPath(src, cfg, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -335,7 +336,8 @@ type CompactResult struct {
 }
 
 // Compact folds the named dataset's journal into a fresh snapshot (written
-// atomically over the dataset's snapshot path) and truncates the journal.
+// atomically over the dataset's snapshot path, in the layout the dataset
+// was mounted from) and truncates the journal.
 // The serving engine is untouched — compaction changes only what a future
 // boot reads. An unjournaled dataset is an error.
 func (c *Catalog) Compact(name string) (*CompactResult, error) {
@@ -360,7 +362,11 @@ func (d *Dataset) compactLocked() (*CompactResult, error) {
 	}
 	eng := d.eng.Load()
 	folded := d.live.journal.Batches()
-	size, err := store.AtomicWriteFile(d.live.snapPath, eng.WriteSnapshot)
+	layout := d.layoutLocked()
+	size, err := store.AtomicWriteFile(d.live.snapPath, func(w io.Writer) error {
+		_, err := eng.WriteSnapshot(w, layout)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -401,6 +407,7 @@ func (c *Catalog) compactOptimistic(d *Dataset, live *liveState) error {
 	eng := d.eng.Load()
 	ver := eng.Version()
 	snapPath := live.snapPath
+	layout := d.layoutLocked()
 	d.mu.Unlock()
 
 	dir, base := filepath.Split(snapPath)
@@ -414,7 +421,7 @@ func (c *Catalog) compactOptimistic(d *Dataset, live *liveState) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := eng.WriteSnapshot(f); err != nil {
+	if _, err := eng.WriteSnapshot(f, layout); err != nil {
 		return discard(err)
 	}
 	if err := f.Sync(); err != nil {

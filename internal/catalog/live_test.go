@@ -48,7 +48,10 @@ func liveFixture(t *testing.T) (snapPath, journalPath string) {
 		t.Fatal(err)
 	}
 	snapPath = filepath.Join(dir, "g.snap")
-	if _, err := store.AtomicWriteFile(snapPath, eng.WriteSnapshot); err != nil {
+	if _, err := store.AtomicWriteFile(snapPath, func(w io.Writer) error {
+		_, err := eng.WriteSnapshot(w, store.PackOptions{})
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return snapPath, filepath.Join(dir, "g.journal")

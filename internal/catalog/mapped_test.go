@@ -1,19 +1,26 @@
 package catalog
 
-// Mapped-serving catalog tests: a v2 aligned snapshot mounts zero-copy, the
-// journal replays its deltas as a heap overlay over the read-only mapped
-// base, and the served answers are byte-identical to a heap-resident mount
-// of the same state. Under -race these pin the mapped pages as read-only in
-// practice, not just by contract.
+// Mapped-serving catalog tests: a snapshot mounts zero-copy, the journal
+// replays its deltas as a heap overlay over the read-only mapped base, and
+// the served answers are byte-identical to a heap-resident mount of the
+// same state. Compaction and replication write the layout the dataset was
+// mounted from, so a dataset keeps its zero-copy boot across both. Under
+// -race these pin the mapped pages as read-only in practice, not just by
+// contract.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/cserr"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/mutate"
 	"repro/internal/query"
@@ -23,8 +30,8 @@ import (
 // mappedFixture packs the liveFixture graph in the layout opt selects.
 func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath string) {
 	t.Helper()
-	v1Path, _ := liveFixture(t)
-	snap, err := store.OpenFile(v1Path)
+	basePath, _ := liveFixture(t)
+	snap, err := store.OpenFile(basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +42,8 @@ func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath s
 	dir := t.TempDir()
 	snapPath = filepath.Join(dir, "g2.snap")
 	if _, err := store.AtomicWriteFile(snapPath, func(w io.Writer) error {
-		return eng.WriteSnapshotOpts(w, opt)
+		_, err := eng.WriteSnapshot(w, opt)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +51,7 @@ func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath s
 }
 
 // mmapExpected mirrors the store package's unix build constraint: on these
-// platforms a v2 mount that is not zero-copy is a regression.
+// platforms a snapshot mount that is not zero-copy is a regression.
 func mmapExpected() bool {
 	switch runtime.GOOS {
 	case "windows", "plan9", "js", "wasip1":
@@ -57,7 +65,7 @@ func TestMappedMountJournalReplay(t *testing.T) {
 		name string
 		opt  store.PackOptions
 	}{
-		{"aligned", store.PackOptions{Align: true}},
+		{"aligned", store.PackOptions{}},
 		{"compressed", store.PackOptions{Compress: true}},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
@@ -144,7 +152,7 @@ func TestMappedMountJournalReplay(t *testing.T) {
 // TestMappedSwapRetiresMapping hot-swaps a mapped dataset and proves the
 // displaced mapping stays valid for in-flight readers until Catalog.Close.
 func TestMappedSwapRetiresMapping(t *testing.T) {
-	snapPath, _ := mappedFixture(t, store.PackOptions{Align: true})
+	snapPath, _ := mappedFixture(t, store.PackOptions{})
 	c := New()
 	d, err := c.MountPath("g", snapPath, engine.DefaultConfig())
 	if err != nil {
@@ -169,5 +177,111 @@ func TestMappedSwapRetiresMapping(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompactKeepsMountLayout: compaction and replication write the layout
+// the dataset was mounted from, so a mutate → compact → reboot cycle comes
+// back mapped (aligned stays aligned, compressed stays compressed) with the
+// mutation folded in — for a heap-resident mount too.
+func TestCompactKeepsMountLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  store.PackOptions
+		mmap bool
+	}{
+		{"aligned", store.PackOptions{}, true},
+		{"compressed", store.PackOptions{Compress: true}, true},
+		{"compressed-heap", store.PackOptions{Compress: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snapPath, journalPath := mappedFixture(t, tc.opt)
+			c := New()
+			c.SetMmap(tc.mmap)
+			d, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Mutate("g", []mutate.Delta{mutate.AddEdge(4, 0), mutate.AddEdge(4, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			wantEdges := d.Engine().Graph().NumEdges()
+
+			var repl bytes.Buffer
+			if _, _, err := c.ReplicateSnapshot("g", &repl); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := store.Decode(repl.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Info.Compressed != tc.opt.Compress {
+				t.Fatalf("replicated snapshot compressed=%v, mount was %v", snap.Info.Compressed, tc.opt.Compress)
+			}
+
+			if _, err := c.Compact("g"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			info, err := store.DetectFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.Aligned || info.Compressed != tc.opt.Compress {
+				t.Fatalf("compacted snapshot %v, mount was %+v", info, tc.opt)
+			}
+
+			c2 := New()
+			defer c2.Close()
+			d2, replayed, err := c2.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed != 0 {
+				t.Fatalf("replayed %d batches after compaction", replayed)
+			}
+			if got := d2.Engine().Graph().NumEdges(); got != wantEdges {
+				t.Fatalf("reboot lost compacted mutations: %d edges, want %d", got, wantEdges)
+			}
+			rb, err := c2.InfoFor("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rb.Mapped != mmapExpected() {
+				t.Fatalf("rebooted compacted dataset mapped=%v, platform expects %v", rb.Mapped, mmapExpected())
+			}
+		})
+	}
+}
+
+// TestV1SidecarFailsClosed: a text source whose compaction sidecar is a
+// retired v1 snapshot must not mount — booting the text file instead would
+// silently drop every batch that sidecar folded.
+func TestV1SidecarFailsClosed(t *testing.T) {
+	snapPath, journalPath := liveFixture(t)
+	snap, err := store.OpenFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textPath := filepath.Join(filepath.Dir(snapPath), "g.txt")
+	if _, err := store.AtomicWriteFile(textPath, func(w io.Writer) error {
+		return dataset.WriteGraph(w, snap.Graph)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte("SEASNAP\x00\x01\x00\x00\x00\x01\x00\x00\x00")
+	v1 = append(v1, make([]byte, 64)...)
+	if err := os.WriteFile(textPath+".snap", v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	defer c.Close()
+	if _, _, err := c.MountPathJournaled("g", textPath, journalPath, engine.DefaultConfig()); !errors.Is(err, cserr.ErrSnapshotVersion) {
+		t.Fatalf("v1 sidecar mount: got %v, want ErrSnapshotVersion", err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("a dataset mounted despite the v1 sidecar: %v", c.Names())
 	}
 }

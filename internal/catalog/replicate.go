@@ -100,11 +100,12 @@ func (d *Dataset) replicationInfoLocked() ReplicationInfo {
 }
 
 // ReplicateSnapshot streams the named dataset's current serving state to w
-// in the store snapshot format and returns the (version, lineage) cursor
-// the stream captured. The engine and lineage are resolved together under
-// the dataset lock, but the write itself streams unlocked — mutations keep
-// flowing while a bootstrap is on the wire, and the returned version is the
-// generation actually written, whatever lands meanwhile.
+// in the snapshot layout the dataset was mounted from and returns the
+// (version, lineage) cursor the stream captured. The engine, lineage and
+// layout are resolved together under the dataset lock, but the write itself
+// streams unlocked — mutations keep flowing while a bootstrap is on the
+// wire, and the returned version is the generation actually written,
+// whatever lands meanwhile.
 func (c *Catalog) ReplicateSnapshot(name string, w io.Writer) (version, lineage uint64, err error) {
 	d, err := c.dataset(name)
 	if err != nil {
@@ -113,8 +114,9 @@ func (c *Catalog) ReplicateSnapshot(name string, w io.Writer) (version, lineage 
 	d.mu.Lock()
 	eng := d.eng.Load()
 	lineage = d.swaps
+	layout := d.layoutLocked()
 	d.mu.Unlock()
-	version, err = eng.WriteSnapshotAt(w)
+	version, err = eng.WriteSnapshot(w, layout)
 	return version, lineage, err
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/store"
 )
 
 // DefaultPollEvery is the follower's journal poll interval.
@@ -320,6 +321,12 @@ func (f *Follower) bootstrapDataset(ctx context.Context, client *Client, name st
 			return err
 		}
 	} else {
+		// SwapPath verifies the whole file before the flip, but a fresh
+		// mount maps it after reading only its header: the fetched bytes
+		// get the heap open's checksum and structure checks first.
+		if _, err := store.OpenFile(snapPath); err != nil {
+			return err
+		}
 		// A journal left over from an earlier follower life would replay
 		// over the fresh snapshot; it describes a state that no longer
 		// exists.

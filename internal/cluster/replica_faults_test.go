@@ -2,15 +2,22 @@ package cluster
 
 // Fault-injection tests for replication: a snapshot stream severed
 // mid-transfer must fail the bootstrap cleanly — no partially-mounted
-// dataset, no stray snapshot file — and the next attempt must succeed.
+// dataset, no stray snapshot file — and the next attempt must succeed; a
+// snapshot damaged in flight must never be mounted, not even mapped.
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/cserr"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/mutate"
@@ -112,4 +119,102 @@ func TestFollowerTailFaultBacksOffAndRecovers(t *testing.T) {
 // attrDeltaCluster is a minimal valid mutation batch for cluster tests.
 func attrDeltaCluster(tag string) []mutate.Delta {
 	return []mutate.Delta{{Op: mutate.OpSetAttr, U: 0, Text: []string{tag}}}
+}
+
+// mmapExpected mirrors the store package's unix build constraint: on these
+// platforms a snapshot mount that is not zero-copy is a regression.
+func mmapExpected() bool {
+	switch runtime.GOOS {
+	case "windows", "plan9", "js", "wasip1":
+		return false
+	}
+	return true
+}
+
+// TestBootstrapVerifiesFetchedSnapshot puts a proxy between follower and
+// primary that flips one bit in the middle of every /admin/replicate body
+// while armed. A mapped mount reads only the snapshot's header, so only
+// verifying the fetched bytes keeps the damage out: the first bootstrap
+// must fail with ErrSnapshotCorrupt and mount nothing, a clean bootstrap
+// must serve mapped, and a damaged re-bootstrap must leave the running
+// engine in place.
+func TestBootstrapVerifiesFetchedSnapshot(t *testing.T) {
+	pcat, _ := newPrimary(t)
+	primary := NewNodeHandler(pcat, engine.DefaultConfig(), nil)
+	var flip atomic.Bool
+	flip.Store(true)
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != catalog.ReplicatePath || !flip.Load() {
+			primary.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		primary.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		body[len(body)/2] ^= 0x01
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(proxy.Close)
+
+	cat := catalog.New()
+	t.Cleanup(func() { cat.Close() })
+	fol := NewFollower(cat, proxy.URL, t.TempDir(), engine.DefaultConfig(), 0)
+	ctx := context.Background()
+	if err := fol.Bootstrap(ctx); !errors.Is(err, cserr.ErrSnapshotCorrupt) {
+		t.Fatalf("bootstrap over a bit-flipped snapshot: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if n := len(cat.Names()); n != 0 {
+		t.Fatalf("corrupt bootstrap mounted %d dataset(s)", n)
+	}
+
+	flip.Store(false)
+	if err := fol.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	info, err := cat.InfoFor("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mapped != mmapExpected() {
+		t.Fatalf("bootstrapped replica mapped=%v, platform expects %v", info.Mapped, mmapExpected())
+	}
+	serving, err := cat.Resolve("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Compaction on the primary moves the journal past the follower's
+	// cursor, so the next sync re-bootstraps through SwapPath — over a
+	// damaged snapshot again.
+	if _, err := pcat.Mutate("g", []mutate.Delta{mutate.AddEdge(4, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pcat.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pcat.Mutate("g", []mutate.Delta{mutate.AddEdge(4, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	flip.Store(true)
+	fol.syncOnce(ctx)
+	if now, _ := cat.Resolve("g"); now != serving {
+		t.Fatal("a corrupt re-bootstrap replaced the serving engine")
+	}
+	if st := fol.Status(); len(st) != 1 || st[0].LastError == "" {
+		t.Fatalf("corrupt re-bootstrap left no error in the status: %+v", st)
+	}
+
+	// Undamaged, the re-bootstrap lands and the replica still serves mapped.
+	flip.Store(false)
+	fol.syncOnce(ctx)
+	if st := fol.Status(); len(st) != 1 || st[0].Version != 2 || st[0].Lag != 0 {
+		t.Fatalf("follower status after resync: %+v", st)
+	}
+	if info, err := cat.InfoFor("g"); err != nil || info.Mapped != mmapExpected() {
+		t.Fatalf("re-bootstrapped replica: mapped=%v err=%v, platform expects %v", info.Mapped, err, mmapExpected())
+	}
 }

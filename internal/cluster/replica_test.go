@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -40,7 +41,10 @@ func testSnapshot(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "g.snap")
-	if _, err := store.AtomicWriteFile(path, eng.WriteSnapshot); err != nil {
+	if _, err := store.AtomicWriteFile(path, func(w io.Writer) error {
+		_, err := eng.WriteSnapshot(w, store.PackOptions{})
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return path

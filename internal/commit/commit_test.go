@@ -190,10 +190,12 @@ func TestMaxWaitFlushesIncompleteBatch(t *testing.T) {
 // still commits after the flusher resumes.
 func TestQueueFullShedsOverloaded(t *testing.T) {
 	release := make(chan struct{})
+	entered := make(chan struct{})
 	first := true
 	flush := func(groups [][]mutate.Delta) []Result {
 		if first {
 			first = false
+			close(entered)
 			<-release
 		}
 		results := make([]Result, len(groups))
@@ -204,17 +206,31 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 	}
 	b := New(Config{Queue: 2}, flush)
 	defer b.Close()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // runs before Close, so a failed check cannot hang it
 
-	// Occupy the flusher, then fill the queue.
+	// Occupy the flusher with one group, then fill the queue behind it.
+	// The queue fills only once the flusher is blocked: before that it
+	// could still sweep queued groups into its batch and make room for the
+	// overflow Submit.
 	var wg sync.WaitGroup
 	acked := make([]error, 3)
-	for i := 0; i < 3; i++ {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			_, _, acked[i] = b.Submit(deltas(1))
-		}(i)
+		}()
 	}
+	submit(0)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher never started")
+	}
+	submit(1)
+	submit(2)
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().QueueDepth < 2 {
 		if time.Now().After(deadline) {
@@ -231,7 +247,7 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 		t.Fatalf("shed counter: %+v", b.Stats())
 	}
 
-	close(release)
+	unblock()
 	wg.Wait()
 	for i, err := range acked {
 		if err != nil {

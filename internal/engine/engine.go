@@ -83,7 +83,7 @@ type Config struct {
 	// never shed. Set it above MaxConcurrent to allow a bounded queue;
 	// 0 disables shedding.
 	MaxInFlight int
-	// Workers is the BatchSearch worker-pool size. ≤0 selects GOMAXPROCS.
+	// Workers is the Batch worker-pool size. ≤0 selects GOMAXPROCS.
 	Workers int
 	// RequestTimeout, when positive, bounds every request (Query, Search and
 	// each batch item) that does not already carry an earlier deadline. The

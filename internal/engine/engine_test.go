@@ -260,14 +260,23 @@ func TestEngineRequestDeadline(t *testing.T) {
 	}
 }
 
-func TestEngineBatchSearch(t *testing.T) {
+// batchRequests lifts SEA queries with opts into one Request each.
+func batchRequests(queries []graph.NodeID, opts sea.Options) []query.Request {
+	reqs := make([]query.Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = query.FromOptions(q, opts)
+	}
+	return reqs
+}
+
+func TestEngineBatch(t *testing.T) {
 	e, d, _ := testEngine(t, DefaultConfig())
 	opts := testOpts()
 	opts.K = 2
 
 	qs := d.QueryNodes(4, 2, 9)
 	queries := append(append([]graph.NodeID{}, qs...), qs[0]) // duplicate tail
-	items, err := e.BatchSearch(context.Background(), queries, opts)
+	items, err := e.Batch(context.Background(), batchRequests(queries, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +284,8 @@ func TestEngineBatchSearch(t *testing.T) {
 		t.Fatalf("got %d items, want %d", len(items), len(queries))
 	}
 	for i, it := range items {
-		if it.Query != queries[i] {
-			t.Fatalf("item %d out of order: %d != %d", i, it.Query, queries[i])
+		if it.Request.Query != queries[i] {
+			t.Fatalf("item %d out of order: %d != %d", i, it.Request.Query, queries[i])
 		}
 		if it.Err != nil {
 			t.Fatalf("item %d: %v", i, it.Err)
@@ -298,13 +307,20 @@ func TestEngineBatchSearch(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "query,k,model,") {
 		t.Fatalf("bad CSV header: %q", lines[0])
 	}
+
+	// One invalid request rejects the whole batch before anything runs.
+	bad := batchRequests(qs, opts)
+	bad[1].Query = -1
+	if _, err := e.Batch(context.Background(), bad); err == nil {
+		t.Fatal("batch with an invalid request accepted")
+	}
 }
 
 func TestEngineBatchCancelled(t *testing.T) {
 	e, d, _ := testEngine(t, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items, err := e.BatchSearch(ctx, d.QueryNodes(3, 2, 9), testOpts())
+	items, err := e.Batch(ctx, batchRequests(d.QueryNodes(3, 2, 9), testOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 package store
 
-// Version 2 of the snapshot format: the mmap-ready aligned section-table
-// layout, optionally with delta+varint compressed adjacency.
+// The snapshot format: the mmap-ready aligned section-table layout,
+// optionally with delta+varint compressed adjacency. Its version field is
+// 2; version 1 was a sequential stream this build no longer reads.
 //
-// # Format (version 2)
+// # Format
 //
 // All integers are little-endian. The file is a fixed header, a section
 // table, the section payloads, and a trailing CRC:
 //
 //	magic    [8]byte  "SEASNAP\x00"
-//	version  uint32   2
+//	version  uint32   2 (Version)
 //	flags    uint32   bit 0: index sections present; bit 1: compressed adjacency
 //	nsec     uint32   number of section-table entries
 //	reserved uint32   0
@@ -46,10 +47,11 @@ package store
 // offsets section is kept as-is so Degree and the positional edge-ID
 // contract (graph.CSR) stay O(1).
 //
-// Open/OpenFile verify the trailing checksum and the structural invariants
-// before serving (heap open). OpenMapped validates only the header and
-// section table — O(1) in the graph size — and trusts payload bytes that
-// were validated when written; that is the zero-copy boot path.
+// Open/OpenFile/Decode verify the trailing checksum and the structural
+// invariants before serving (heap open). OpenMapped validates only the
+// header and section table — O(1) in the graph size — and trusts payload
+// bytes that were validated when written; that is the zero-copy boot path
+// (Mounted.Verify runs the heap open's checks over a mapping).
 
 import (
 	"encoding/binary"
@@ -61,9 +63,6 @@ import (
 	"repro/internal/cserr"
 	"repro/internal/graph"
 )
-
-// Version2 is the aligned section-table snapshot format version.
-const Version2 = 2
 
 const (
 	flagCompressed = 1 << 1
@@ -114,26 +113,25 @@ func sectionName(id uint32) string {
 	return fmt.Sprintf("section#%d", id)
 }
 
-// PackOptions selects the on-disk snapshot layout.
+// PackOptions selects the on-disk snapshot layout. The zero value writes
+// the flat aligned layout.
 type PackOptions struct {
-	// Align writes the version-2 aligned section-table layout, which
-	// OpenMapped can serve zero-copy straight from the page cache. False
-	// (and Compress false) keeps the legacy version-1 stream.
+	// Align is ignored: every snapshot is written aligned, so OpenMapped
+	// can serve it zero-copy straight from the page cache.
+	//
+	// Deprecated: the field has no effect and is kept only so existing
+	// callers compile.
 	Align bool
-	// Compress stores the adjacency delta+varint encoded (implies Align).
-	// Neighbor lists are decoded per node into caller scratch at query
-	// time; the rest of the snapshot stays flat and mappable.
+	// Compress stores the adjacency delta+varint encoded. Neighbor lists
+	// are decoded per node into caller scratch at query time; the rest of
+	// the snapshot stays flat and mappable.
 	Compress bool
 }
 
 // WriteSnapshot serializes g and idx (nil for graph-only) to w in the layout
-// opt selects: the zero PackOptions writes the legacy v1 stream (identical
-// to Write), Align the v2 aligned layout, Compress the v2 layout with
-// delta+varint adjacency.
+// opt selects. It is the one snapshot encoder: every pack, compaction and
+// replication bootstrap writes through it.
 func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) error {
-	if !opt.Align && !opt.Compress {
-		return Write(w, g, idx)
-	}
 	if g == nil {
 		return fmt.Errorf("store: nil graph")
 	}
@@ -220,7 +218,7 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) err
 	crc := crc32.New(castagnoli)
 	ew := &encoder{w: io.MultiWriter(w, crc)}
 	ew.bytes(magic[:])
-	ew.u32(Version2)
+	ew.u32(Version)
 	var flags uint32
 	if idx != nil {
 		flags |= flagIndex
@@ -468,7 +466,7 @@ func decodeV2(data []byte) (*Snapshot, error) {
 	}
 
 	info := SnapshotInfo{
-		Version:    Version2,
+		Version:    Version,
 		Sections:   sectionList(secs),
 		Aligned:    true,
 		Compressed: compressed,

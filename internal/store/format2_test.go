@@ -1,9 +1,10 @@
 package store_test
 
-// Tests for the version-2 aligned snapshot layout: heap/mapped/compressed
-// backings answering byte-identically, truncation detection at every section
-// boundary with the failing section named, DetectFile descriptions, and the
-// packed-adjacency accessors against their heap CSR equivalents.
+// Tests for the aligned snapshot layout: heap/mapped/compressed backings
+// answering byte-identically, truncation detection at every section
+// boundary with the failing section named, DetectFile descriptions, the
+// packed-adjacency accessors against their heap CSR equivalents, and the
+// rejection of retired v1 files by every open path.
 
 import (
 	"bytes"
@@ -30,7 +31,7 @@ import (
 func v2Bytes(t testing.TB, eng *engine.Engine, opt store.PackOptions) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := eng.WriteSnapshotOpts(&buf, opt); err != nil {
+	if _, err := eng.WriteSnapshot(&buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -82,15 +83,14 @@ func outcomes(t testing.TB, eng *engine.Engine, q graph.NodeID) [][]byte {
 }
 
 // TestV2RoundTripOutcomes is the tentpole property test: the same request
-// battery answers byte-identically across every snapshot backing — legacy v1
-// heap, v2 aligned heap, v2 compressed heap, and the mapped zero-copy opens
-// of both v2 layouts.
+// battery answers byte-identically across every snapshot backing — aligned
+// heap, compressed heap, and the mapped zero-copy opens of both layouts.
 func TestV2RoundTripOutcomes(t *testing.T) {
 	d, eng := buildEngine(t, "facebook", 0.3)
 	q := d.QueryNodes(1, 4, 7)[0]
 	want := outcomes(t, eng, q)
 
-	aligned := v2Bytes(t, eng, store.PackOptions{Align: true})
+	aligned := v2Bytes(t, eng, store.PackOptions{})
 	compressed := v2Bytes(t, eng, store.PackOptions{Compress: true})
 	if bytes.Equal(aligned, compressed) {
 		t.Fatal("compressed layout identical to aligned")
@@ -114,7 +114,6 @@ func TestV2RoundTripOutcomes(t *testing.T) {
 	}
 
 	heapVariants := map[string][]byte{
-		"v1-heap":            snapshotBytes(t, eng),
 		"v2-aligned-heap":    aligned,
 		"v2-compressed-heap": compressed,
 	}
@@ -250,7 +249,7 @@ var v2SectionNames = map[uint32]string{
 
 func parseV2SectionTable(t *testing.T, data []byte) []v2Section {
 	t.Helper()
-	if string(data[:8]) != "SEASNAP\x00" || binary.LittleEndian.Uint32(data[8:]) != store.Version2 {
+	if string(data[:8]) != "SEASNAP\x00" || binary.LittleEndian.Uint32(data[8:]) != store.Version {
 		t.Fatal("not a v2 snapshot")
 	}
 	nsec := int(binary.LittleEndian.Uint32(data[16:]))
@@ -282,7 +281,7 @@ func TestV2TruncationNamesSection(t *testing.T) {
 		name string
 		opt  store.PackOptions
 	}{
-		{"aligned", store.PackOptions{Align: true}},
+		{"aligned", store.PackOptions{}},
 		{"compressed", store.PackOptions{Compress: true}},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
@@ -356,14 +355,14 @@ func TestV2CorruptionDetection(t *testing.T) {
 
 func TestDetectFileV2(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	aligned := writeTemp(t, "aligned.snap", v2Bytes(t, eng, store.PackOptions{Align: true}))
+	aligned := writeTemp(t, "aligned.snap", v2Bytes(t, eng, store.PackOptions{}))
 	compressed := writeTemp(t, "compressed.snap", v2Bytes(t, eng, store.PackOptions{Compress: true}))
 
 	info, err := store.DetectFile(aligned)
 	if err != nil || !info.IsSnapshot() {
 		t.Fatalf("aligned not detected: %+v %v", info, err)
 	}
-	if info.Version != store.Version2 || !info.Aligned || info.Compressed || !info.Index {
+	if info.Version != store.Version || !info.Aligned || info.Compressed || !info.Index {
 		t.Fatalf("aligned misdescribed: %+v", info)
 	}
 	if !hasSection(info.Sections, "adj") || hasSection(info.Sections, "packblob") {
@@ -399,7 +398,7 @@ func hasSection(secs []string, name string) bool {
 // idempotently (nil handles included).
 func TestOpenMappedIndexAndLifecycle(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	data := v2Bytes(t, eng, store.PackOptions{Align: true})
+	data := v2Bytes(t, eng, store.PackOptions{})
 	path := writeTemp(t, "g.snap", data)
 
 	snap, err := store.OpenFile(path)
@@ -437,26 +436,10 @@ func TestOpenMappedIndexAndLifecycle(t *testing.T) {
 	}
 }
 
-// TestOpenMappedFallbacks: v1 snapshots and text files serve heap-resident
-// through the same mount entry points, Mapped() == false.
+// TestOpenMappedFallbacks: text files serve heap-resident through the same
+// mount entry point, Mapped() == false.
 func TestOpenMappedFallbacks(t *testing.T) {
-	d, eng := buildEngine(t, "facebook", 0.2)
-	v1 := writeTemp(t, "v1.snap", snapshotBytes(t, eng))
-
-	m, err := store.OpenMapped(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Mapped() {
-		t.Fatal("v1 snapshot claims to be mapped")
-	}
-	if m.Store == nil || m.Store.NumNodes() != d.Graph.NumNodes() {
-		t.Fatal("v1 fallback store wrong")
-	}
-	if m.Info.Version != store.Version {
-		t.Fatalf("v1 fallback info %+v", m.Info)
-	}
-
+	d, _ := buildEngine(t, "facebook", 0.2)
 	var text bytes.Buffer
 	if err := dataset.WriteGraph(&text, d.Graph); err != nil {
 		t.Fatal(err)
@@ -473,13 +456,57 @@ func TestOpenMappedFallbacks(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds the snapshot decoder arbitrary bytes seeded with every
-// on-disk layout and their truncations; the decoder must never panic, and
-// anything it accepts must carry a usable backing.
+// v1Header hand-builds the leading bytes of a retired version-1 snapshot:
+// magic, version 1, the index flag, then node and adjacency counts and a
+// stretch of zero payload, long enough to pass every open's size check.
+func v1Header() []byte {
+	data := []byte("SEASNAP\x00")
+	data = binary.LittleEndian.AppendUint32(data, 1) // version
+	data = binary.LittleEndian.AppendUint32(data, 1) // flags: index present
+	data = binary.LittleEndian.AppendUint64(data, 4) // nodes
+	data = binary.LittleEndian.AppendUint64(data, 8) // adjacency entries
+	return append(data, make([]byte, 96)...)
+}
+
+// TestV1Rejected: a v1 file fails every open path with ErrSnapshotVersion
+// and a message naming the repack command — it is never read, not even
+// through the heap fallback.
+func TestV1Rejected(t *testing.T) {
+	data := v1Header()
+	path := writeTemp(t, "v1.snap", data)
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, cserr.ErrSnapshotVersion) {
+			t.Errorf("%s: got %v, want ErrSnapshotVersion", what, err)
+		} else if !strings.Contains(err.Error(), "seacli pack") {
+			t.Errorf("%s: error %q does not name seacli pack", what, err)
+		}
+	}
+	_, err := store.Decode(data)
+	check("Decode", err)
+	_, err = store.OpenFile(path)
+	check("OpenFile", err)
+	_, err = store.OpenMapped(path)
+	check("OpenMapped", err)
+	_, err = store.MountGraphFile(path)
+	check("MountGraphFile", err)
+	_, err = store.OpenGraphFile(path)
+	check("OpenGraphFile", err)
+	info, err := store.DetectFile(path)
+	check("DetectFile", err)
+	if info.Version != 1 {
+		t.Errorf("DetectFile reports version %d, want 1", info.Version)
+	}
+}
+
+// FuzzDecode feeds the snapshot decoder arbitrary bytes seeded with both
+// layouts, a retired v1 header (a version error, never a read) and their
+// truncations; the decoder must never panic, and anything it accepts must
+// carry a usable backing.
 func FuzzDecode(f *testing.F) {
 	_, eng := buildEngine(f, "facebook", 0.1)
-	v1 := snapshotBytes(f, eng)
-	aligned := v2Bytes(f, eng, store.PackOptions{Align: true})
+	v1 := v1Header()
+	aligned := v2Bytes(f, eng, store.PackOptions{})
 	compressed := v2Bytes(f, eng, store.PackOptions{Compress: true})
 	for _, seed := range [][]byte{v1, aligned, compressed} {
 		f.Add(seed)

@@ -12,13 +12,13 @@ import (
 // version, section layout, and the properties that decide how it can serve.
 // The zero value (Version 0) means "not a snapshot file".
 type SnapshotInfo struct {
-	// Version is the snapshot format version (1 legacy stream, 2 aligned
-	// section table), or 0 when the file is not a snapshot.
+	// Version is the snapshot format version (Version for every file this
+	// build reads), or 0 when the file is not a snapshot.
 	Version int `json:"version"`
-	// Sections lists the v2 section names in file order (nil for v1).
+	// Sections lists the section names in file order.
 	Sections []string `json:"sections,omitempty"`
-	// Aligned reports the 8-byte-aligned v2 layout OpenMapped serves
-	// zero-copy.
+	// Aligned reports the 8-byte-aligned layout OpenMapped serves zero-copy
+	// (every snapshot this build writes or reads).
 	Aligned bool `json:"aligned"`
 	// Compressed reports delta+varint compressed adjacency.
 	Compressed bool `json:"compressed"`
@@ -57,10 +57,11 @@ func (i SnapshotInfo) String() string {
 }
 
 // DetectFile inspects the file at path and describes what kind of snapshot
-// it is, reading only the header and (for v2) the section table — never the
+// it is, reading only the header and the section table — never the
 // payload. A file that is not a snapshot (e.g. the text exchange format)
-// returns the zero SnapshotInfo with a nil error; only I/O failures and
-// structurally broken snapshot headers error.
+// returns the zero SnapshotInfo with a nil error; only I/O failures,
+// structurally broken snapshot headers and versions this build does not
+// read (cserr.ErrSnapshotVersion) error.
 func DetectFile(path string) (SnapshotInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -79,32 +80,19 @@ func DetectFile(path string) (SnapshotInfo, error) {
 	if len(head) < 12 || *(*[8]byte)(head[:8]) != magic {
 		return SnapshotInfo{}, nil
 	}
-	switch v := binary.LittleEndian.Uint32(head[8:]); v {
-	case Version:
-		var flags uint32
-		if len(head) >= 16 {
-			flags = binary.LittleEndian.Uint32(head[12:])
-		}
-		return SnapshotInfo{
-			Version: Version,
-			Index:   flags&flagIndex != 0,
-			Bytes:   size,
-		}, nil
-	case Version2:
-		flags, secs, err := parseV2Table(head, size)
-		if err != nil {
-			return SnapshotInfo{Version: Version2, Bytes: size}, err
-		}
-		return SnapshotInfo{
-			Version:    Version2,
-			Sections:   sectionList(secs),
-			Aligned:    true,
-			Compressed: flags&flagCompressed != 0,
-			Index:      flags&flagIndex != 0,
-			Bytes:      size,
-		}, nil
-	default:
-		return SnapshotInfo{Version: int(v), Bytes: size},
-			fmt.Errorf("%s: snapshot version %d, this build reads %d and %d", path, v, Version, Version2)
+	if v := binary.LittleEndian.Uint32(head[8:]); v != Version {
+		return SnapshotInfo{Version: int(v), Bytes: size}, fmt.Errorf("%s: %w", path, versionError(v))
 	}
+	flags, secs, err := parseV2Table(head, size)
+	if err != nil {
+		return SnapshotInfo{Version: Version, Bytes: size}, err
+	}
+	return SnapshotInfo{
+		Version:    Version,
+		Sections:   sectionList(secs),
+		Aligned:    true,
+		Compressed: flags&flagCompressed != 0,
+		Index:      flags&flagIndex != 0,
+		Bytes:      size,
+	}, nil
 }

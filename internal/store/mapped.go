@@ -1,7 +1,7 @@
 package store
 
-// Zero-copy snapshot serving. OpenMapped memory-maps a version-2 aligned
-// snapshot and reinterprets its sections in place: the CSR arrays, attribute
+// Zero-copy snapshot serving. OpenMapped memory-maps an aligned snapshot
+// and reinterprets its sections in place: the CSR arrays, attribute
 // columns and index arrays are served straight from the page cache with no
 // read, no copy and no per-element decode, so boot cost is O(header + dict),
 // independent of graph size. The mapping is read-only (PROT_READ); every
@@ -9,10 +9,10 @@ package store
 // mutations build heap overlays on top (graph.Overlay) without ever writing
 // the mapped pages.
 //
-// OpenMapped degrades gracefully: a legacy v1 snapshot, a platform without
-// mmap, or a section whose payload lands misaligned in memory falls back to
-// the heap open (or a per-section copy) — same Snapshot semantics, just not
-// zero-copy. Callers can tell which they got from Mounted.Mapped.
+// OpenMapped degrades gracefully: a platform without mmap, or a section
+// whose payload lands misaligned in memory, falls back to the heap open (or
+// a per-section copy) — same Snapshot semantics, just not zero-copy.
+// Callers can tell which they got from Mounted.Mapped.
 
 import (
 	"encoding/binary"
@@ -22,6 +22,7 @@ import (
 	"os"
 	"unsafe"
 
+	"repro/internal/cserr"
 	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -61,6 +62,20 @@ func (m *Mounted) MappedBytes() int64 {
 	return int64(len(m.data))
 }
 
+// Verify runs the heap open's full checks — the trailing checksum and every
+// array's structure — over the mapped bytes, which OpenMapped skips to keep
+// boot O(header + dictionary). Call it before serving a mapping of bytes
+// that were not written locally (a hot reload, a replica bootstrap). A
+// heap-resident backing was verified when it was read, so Verify is a no-op
+// for it.
+func (m *Mounted) Verify() error {
+	if !m.Mapped() {
+		return nil
+	}
+	_, err := Decode(m.data)
+	return err
+}
+
 // Snapshot adapts the Mounted backing to the *Snapshot shape shared with the
 // heap open paths. Graph is set only when the backing is a CSR *graph.Graph.
 func (m *Mounted) Snapshot() *Snapshot {
@@ -82,16 +97,17 @@ func (m *Mounted) Close() error {
 	return munmap(data)
 }
 
-// OpenMapped opens the snapshot at path for zero-copy serving. A version-2
-// aligned snapshot maps read-only and serves straight from the page cache —
-// O(1) in the graph size (only the header, section table and dictionary are
-// touched); a v1 snapshot or an mmap-less platform falls back to the heap
-// open, returning a Mounted with Mapped() == false.
+// OpenMapped opens the snapshot at path for zero-copy serving. The snapshot
+// maps read-only and serves straight from the page cache — O(1) in the
+// graph size (only the header, section table and dictionary are touched);
+// an mmap-less platform falls back to the heap open, returning a Mounted
+// with Mapped() == false. A file of another format version fails with
+// cserr.ErrSnapshotVersion.
 //
 // The mapped fast path validates the header and section table but — by
 // design — not the payload checksum or per-element structure: both were
-// validated when the snapshot was written (and OpenFile re-verifies them on
-// any heap open). A torn or corrupted file still fails fast on the O(1)
+// validated when the snapshot was written (Verify, or any heap open,
+// re-checks them). A torn or corrupted file still fails fast on the O(1)
 // header/table/shape checks.
 func OpenMapped(path string) (*Mounted, error) {
 	if err := faults.Check("snapshot.open"); err != nil {
@@ -115,10 +131,10 @@ func OpenMapped(path string) (*Mounted, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if *(*[8]byte)(head[:8]) != magic {
-		return nil, fmt.Errorf("%s: not a snapshot file", path)
+		return nil, fmt.Errorf("%s: %w: bad magic (not a snapshot file)", path, cserr.ErrSnapshotVersion)
 	}
-	if binary.LittleEndian.Uint32(head[8:]) != Version2 {
-		return heapFallback(path) // legacy v1 layout: not mappable
+	if v := binary.LittleEndian.Uint32(head[8:]); v != Version {
+		return nil, fmt.Errorf("%s: %w", path, versionError(v))
 	}
 	data, err := mmapFile(f, size)
 	if err != nil {
@@ -257,7 +273,7 @@ func mountMapped(data []byte, size int64) (*Mounted, error) {
 		Store: backing,
 		Index: idx,
 		Info: SnapshotInfo{
-			Version:    Version2,
+			Version:    Version,
 			Sections:   sectionList(secs),
 			Aligned:    true,
 			Compressed: flags&flagCompressed != 0,
@@ -268,9 +284,9 @@ func mountMapped(data []byte, size int64) (*Mounted, error) {
 	}, nil
 }
 
-// MountGraphFile is OpenGraphFile's zero-copy sibling: a v2 snapshot maps
-// read-only, a v1 snapshot heap-opens, anything else parses as the text
-// exchange format. The one mapped-serving open path for catalog and CLI.
+// MountGraphFile is OpenGraphFile's zero-copy sibling: a snapshot maps
+// read-only, anything else parses as the text exchange format. The one
+// mapped-serving open path for catalog and CLI.
 func MountGraphFile(path string) (*Mounted, error) {
 	info, err := DetectFile(path)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 
 // PackedGraph is the delta+varint compressed graph backing: the adjacency
 // lives as per-node uvarint-encoded byte runs (see the format comment in
-// format2.go) and every other column stays flat, so the whole structure
+// format.go) and every other column stays flat, so the whole structure
 // serves either from heap slices (compressed snapshot opened with OpenFile)
 // or zero-copy from an mmap'd snapshot (OpenMapped). It implements
 // graph.Store: Degree and ListOffset stay O(1) through the retained element

@@ -7,54 +7,27 @@
 // text exchange format of internal/dataset is the interchange form, the
 // snapshot is the serving form.
 //
-// Two on-disk layouts exist: the legacy version-1 stream below, and the
-// version-2 aligned section-table layout (format2.go) that OpenMapped can
-// serve zero-copy from the page cache and that optionally stores the
-// adjacency delta+varint compressed (PackedGraph). Write emits v1;
-// WriteSnapshot with PackOptions selects the layout. Every open path reads
-// both versions.
-//
-// # Format (version 1)
-//
-// All integers are little-endian and fixed-width; arrays are stored raw with
-// their lengths derived from the header fields.
-//
-//	magic    [8]byte  "SEASNAP\x00"
-//	version  uint32   currently 1
-//	flags    uint32   bit 0: index section present
-//
-//	-- graph section --
-//	n        uint64   number of nodes
-//	a        uint64   len(adj) = 2·edges
-//	offsets  [n+1]int32
-//	adj      [a]int32
-//	t        uint64   len(text)
-//	textOff  [n+1]int32
-//	text     [t]int32
-//	numDim   uint32
-//	num      [n·numDim]float64
-//	dictLen  uint32
-//	names    dictLen × (uint32 byteLen + bytes)
-//
-//	-- index section (iff flags bit 0) --
-//	coreness [n]int32
-//	hasTruss uint8
-//	truss    [n]int32 (iff hasTruss)
-//	normMin  [numDim]float64
-//	normMax  [numDim]float64
-//
-//	crc      uint32   CRC-32 (Castagnoli) of every preceding byte
+// There is one on-disk layout: an aligned section table whose payloads sit
+// at 8-byte-aligned file offsets (format.go documents it byte by byte).
+// OpenMapped serves it zero-copy from the page cache; WriteSnapshot can
+// optionally store the adjacency delta+varint compressed (PackedGraph).
+// Files of the retired version-1 stream fail every open with
+// cserr.ErrSnapshotVersion; repack them from their text source with
+// seacli pack.
 //
 // # Guarantees
 //
-// Write produces a deterministic byte stream for a given graph + index.
-// Open verifies the magic and version (cserr.ErrSnapshotVersion on
-// mismatch), the trailing checksum, and the structural invariants of every
-// array (offsets monotone, adjacency sorted/symmetric/loop-free, tokens
-// within the dictionary — see graph.FromRaw); any violation reports
-// cserr.ErrSnapshotCorrupt. A snapshot that opens without error is
-// semantically identical to the state that was written: the same query
-// yields a byte-identical outcome.
+// WriteSnapshot produces a deterministic byte stream for a given graph,
+// index and layout. Open, OpenFile and Decode verify the magic and version
+// (cserr.ErrSnapshotVersion on mismatch), the trailing checksum, and the
+// structural invariants of every array (offsets monotone, adjacency
+// sorted/symmetric/loop-free, tokens within the dictionary — see
+// graph.FromRaw); any violation reports cserr.ErrSnapshotCorrupt. A
+// snapshot that opens without error is semantically identical to the state
+// that was written: the same query yields a byte-identical outcome.
+// OpenMapped checks only the header and section table, so boot stays
+// O(header + dictionary); Mounted.Verify runs the full checks over a
+// mapping when the bytes came from somewhere untrusted.
 package store
 
 import (
@@ -72,7 +45,7 @@ import (
 )
 
 // Version is the snapshot format version this build reads and writes.
-const Version = 1
+const Version = 2
 
 // magic identifies a snapshot stream; it is deliberately not valid UTF-8
 // text so the text-format loader can never misread one.
@@ -123,74 +96,6 @@ func (s *Snapshot) Backing() graph.Store {
 		return s.Graph
 	}
 	return nil
-}
-
-// Write serializes g and idx to w in the snapshot format. idx may be nil to
-// write a graph-only snapshot. The stream is checksummed; Write buffers
-// nothing beyond small scratch, so it streams large graphs directly to disk.
-func Write(w io.Writer, g *graph.Graph, idx *Index) error {
-	if g == nil {
-		return fmt.Errorf("store: nil graph")
-	}
-	raw := g.Export()
-	n := g.NumNodes()
-	if idx != nil {
-		if len(idx.Coreness) != n {
-			return fmt.Errorf("store: index coreness length %d, graph has %d nodes", len(idx.Coreness), n)
-		}
-		if idx.NodeTruss != nil && len(idx.NodeTruss) != n {
-			return fmt.Errorf("store: index truss length %d, graph has %d nodes", len(idx.NodeTruss), n)
-		}
-		if len(idx.NormMin) != raw.NumDim || len(idx.NormMax) != raw.NumDim {
-			return fmt.Errorf("store: index bounds width %d/%d, graph NumDim %d",
-				len(idx.NormMin), len(idx.NormMax), raw.NumDim)
-		}
-	}
-
-	crc := crc32.New(castagnoli)
-	ew := &encoder{w: io.MultiWriter(w, crc)}
-	ew.bytes(magic[:])
-	ew.u32(Version)
-	var flags uint32
-	if idx != nil {
-		flags |= flagIndex
-	}
-	ew.u32(flags)
-
-	ew.u64(uint64(n))
-	ew.u64(uint64(len(raw.Adj)))
-	ew.i32s(raw.Offsets)
-	ew.i32s(raw.Adj)
-	ew.u64(uint64(len(raw.Text)))
-	ew.i32s(raw.TextOff)
-	ew.i32s(raw.Text)
-	ew.u32(uint32(raw.NumDim))
-	ew.f64s(raw.Num)
-	ew.u32(uint32(len(raw.DictNames)))
-	for _, name := range raw.DictNames {
-		ew.u32(uint32(len(name)))
-		ew.bytes([]byte(name))
-	}
-
-	if idx != nil {
-		ew.i32s(idx.Coreness)
-		if idx.NodeTruss != nil {
-			ew.u8(1)
-			ew.i32s(idx.NodeTruss)
-		} else {
-			ew.u8(0)
-		}
-		ew.f64s(idx.NormMin)
-		ew.f64s(idx.NormMax)
-	}
-	if ew.err != nil {
-		return ew.err
-	}
-	// The trailer is the checksum of everything above; it goes to w only.
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
 }
 
 // Open reads one snapshot from r, verifying version, checksum and structure,
@@ -248,9 +153,7 @@ func OpenGraphFile(path string) (*Snapshot, error) {
 	return &Snapshot{Graph: g, Store: g}, nil
 }
 
-// Decode is Open over bytes already in memory. It dispatches on the format
-// version: 1 is the legacy stream below, 2 the aligned section-table layout
-// (see format2.go).
+// Decode is Open over bytes already in memory.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+8+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", cserr.ErrSnapshotCorrupt, len(data))
@@ -260,86 +163,21 @@ func Decode(data []byte) (*Snapshot, error) {
 	if head != magic {
 		return nil, fmt.Errorf("%w: bad magic (not a snapshot file)", cserr.ErrSnapshotVersion)
 	}
-	switch v := binary.LittleEndian.Uint32(data[8:]); v {
-	case Version:
-		return decodeV1(data)
-	case Version2:
-		return decodeV2(data)
-	default:
-		return nil, fmt.Errorf("%w: version %d, this build reads %d and %d", cserr.ErrSnapshotVersion, v, Version, Version2)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
+		return nil, versionError(v)
 	}
+	return decodeV2(data)
 }
 
-// decodeV1 decodes the legacy v1 stream. The structural parse runs before
-// the checksum so a truncated file reports the section the bytes ran out in
-// (not a bare checksum mismatch); a file whose lengths parse but whose bytes
-// are damaged still fails the checksum before any array is trusted.
-func decodeV1(data []byte) (*Snapshot, error) {
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	d := &decoder{data: body, off: 12, sec: "header"}
-	flags := d.u32()
-	if d.err == nil && flags&^uint32(flagIndex) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", cserr.ErrSnapshotVersion, flags)
+// versionError reports a snapshot version this build does not read. A
+// retired v1 file names the way back: its writer and reader are gone, so it
+// is repacked from the text source it was packed from.
+func versionError(v uint32) error {
+	if v == 1 {
+		return fmt.Errorf("%w: format v1 is no longer read; repack it from its text source with seacli pack",
+			cserr.ErrSnapshotVersion)
 	}
-
-	d.sec = "meta"
-	n := d.count("nodes")
-	a := d.count("adjacency")
-	raw := graph.Raw{}
-	d.sec = "offsets"
-	raw.Offsets = d.i32s(n + 1)
-	d.sec = "adj"
-	raw.Adj = d.i32s(a)
-	d.sec = "meta"
-	t := d.count("text tokens")
-	d.sec = "textoff"
-	raw.TextOff = d.i32s(n + 1)
-	d.sec = "text"
-	raw.Text = d.i32s(t)
-	d.sec = "meta"
-	raw.NumDim = int(d.u32())
-	if d.err == nil && (raw.NumDim < 0 || (raw.NumDim > 0 && n > math.MaxInt/raw.NumDim)) {
-		d.fail(fmt.Errorf("numDim %d overflows", raw.NumDim))
-	}
-	d.sec = "num"
-	raw.Num = d.f64s(n * raw.NumDim)
-	d.sec = "dict"
-	dictLen := int(d.u32())
-	if d.err == nil {
-		raw.DictNames = make([]string, 0, min(dictLen, 1<<20))
-		for i := 0; i < dictLen && d.err == nil; i++ {
-			raw.DictNames = append(raw.DictNames, d.str())
-		}
-	}
-
-	var idx *Index
-	if flags&flagIndex != 0 {
-		d.sec = "coreness"
-		idx = &Index{Coreness: d.i32s(n)}
-		if d.u8() != 0 {
-			d.sec = "nodetruss"
-			idx.NodeTruss = d.i32s(n)
-		}
-		d.sec = "normmin"
-		idx.NormMin = d.f64s(raw.NumDim)
-		d.sec = "normmax"
-		idx.NormMax = d.f64s(raw.NumDim)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, d.err)
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", cserr.ErrSnapshotCorrupt, len(body)-d.off)
-	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %08x, stored %08x)", cserr.ErrSnapshotCorrupt, got, want)
-	}
-	g, err := graph.FromRaw(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
-	}
-	info := SnapshotInfo{Version: Version, Index: idx != nil, Bytes: int64(len(data))}
-	return &Snapshot{Graph: g, Store: g, Index: idx, Info: info}, nil
+	return fmt.Errorf("%w: version %d, this build reads %d", cserr.ErrSnapshotVersion, v, Version)
 }
 
 // encoder writes fixed-width little-endian values, latching the first error.
@@ -354,8 +192,6 @@ func (e *encoder) bytes(b []byte) {
 		_, e.err = e.w.Write(b)
 	}
 }
-
-func (e *encoder) u8(v uint8) { e.bytes([]byte{v}) }
 
 func (e *encoder) u32(v uint32) {
 	binary.LittleEndian.PutUint32(e.buf[:4], v)
@@ -410,98 +246,4 @@ func (e *encoder) i64s(xs []int64) {
 		e.bytes(buf)
 		xs = xs[nn:]
 	}
-}
-
-// decoder reads fixed-width values from a byte slice with bounds checking,
-// latching the first error. sec names the logical section being decoded so
-// a truncated snapshot reports where the bytes ran out.
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-	sec  string
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.data) || d.off+n < d.off {
-		d.fail(fmt.Errorf("section %q truncated at offset %d (need %d bytes)", d.sec, d.off, n))
-		return nil
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// count reads a uint64 array length and bounds it by what the remaining
-// bytes could possibly hold, so corrupt headers cannot force huge
-// allocations.
-func (d *decoder) count(what string) int {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(b)
-	if v > uint64(len(d.data)) {
-		d.fail(fmt.Errorf("%s count %d exceeds snapshot size", what, v))
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) i32s(n int) []int32 {
-	b := d.take(4 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func (d *decoder) f64s(n int) []float64 {
-	b := d.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
 }

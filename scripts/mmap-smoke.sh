@@ -1,10 +1,12 @@
 #!/bin/sh
-# End-to-end zero-copy serving smoke: pack a compressed v2 snapshot, boot
-# seaserve on it with the default -mmap serving path, verify /graphs reports
-# the dataset as mapped, exercise /search and /admin/mutate against the
-# mapped base, SIGTERM-drain, then boot a 4×-larger snapshot and verify the
-# mapped boot wall-time stays scale-independent (the heap path grows
-# linearly with the file; the mapped open touches only header + dictionary).
+# End-to-end zero-copy serving smoke: pack a compressed snapshot, boot
+# seaserve on it journaled with the default -mmap serving path, verify
+# /graphs reports the dataset as mapped, exercise /search and /admin/mutate
+# against the mapped base, compact the journal, SIGTERM-drain, reboot and
+# verify the compacted snapshot still serves mapped with the mutation in
+# it, then boot a 4×-larger snapshot and verify the mapped boot wall-time
+# stays scale-independent (the heap path grows linearly with the file; the
+# mapped open touches only header + dictionary).
 #
 # Expects: $SMOKE_DIR containing datagen/seacli/seaserve binaries.
 # Port: $SMOKE_PORT (default 8973).
@@ -33,16 +35,28 @@ to_ms() {
   esac
 }
 
-# boot starts seaserve on snapshot $1 logging to $2 and waits for /healthz.
-# The server is left running with its PID in $PID.
+# boot starts seaserve on snapshot $1 logging to $2 (further arguments are
+# passed through) and waits for /healthz. The server is left running with
+# its PID in $PID.
 boot() {
-  "$DIR/seaserve" -snapshot "$1" -name fb -addr "127.0.0.1:$PORT" >"$2" 2>&1 &
+  snap=$1
+  log=$2
+  shift 2
+  "$DIR/seaserve" -snapshot "$snap" -name fb -addr "127.0.0.1:$PORT" "$@" >"$log" 2>&1 &
   PID=$!
   wait_up
   # Guard against a stale server answering wait_up while ours died on bind.
   kill -0 "$PID" 2>/dev/null || {
     echo "mmap-smoke: seaserve exited during boot:" >&2
-    cat "$2" >&2
+    cat "$log" >&2
+    exit 1
+  }
+}
+
+# require_mapped fails unless /graphs reports the dataset as mapped.
+require_mapped() {
+  curl -sf "$BASE/graphs" | grep -q '"mapped":true' || {
+    echo "mmap-smoke: /graphs does not report mapped:true ($1)" >&2
     exit 1
   }
 }
@@ -58,7 +72,8 @@ boot_ms() {
 "$DIR/seacli" pack -load "$DIR/big.txt" -compress -out "$DIR/big.snap"
 
 # --- Small snapshot: the full serving surface over a mapped base. ---
-boot "$DIR/small.snap" "$DIR/small.log"
+rm -f "$DIR/small.journal"
+boot "$DIR/small.snap" "$DIR/small.log" -journal "$DIR/small.journal"
 trap 'kill $PID 2>/dev/null || true' EXIT
 SMALL_MS=$(boot_ms "$DIR/small.log")
 
@@ -67,10 +82,7 @@ grep -q 'mapped, ' "$DIR/small.log" || {
   cat "$DIR/small.log" >&2
   exit 1
 }
-curl -sf "$BASE/graphs" | grep -q '"mapped":true' || {
-  echo "mmap-smoke: /graphs does not report mapped:true" >&2
-  exit 1
-}
+require_mapped "boot"
 curl -sf -X POST "$BASE/search" -d '{"q":0,"method":"structural","k":2}' >/dev/null
 
 # Mutate over the read-only mapped base: deltas build a heap overlay, the
@@ -82,7 +94,27 @@ curl -sf -X POST "$BASE/admin/mutate" -d \
 curl -sf -X POST "$BASE/search" -d "{\"q\":$X,\"method\":\"structural\",\"k\":1}" \
   | grep -q "\"query\":$X"
 
+# Compaction folds the journal into a fresh snapshot over small.snap, in
+# the layout the dataset was mounted from.
+curl -sf -X POST "$BASE/admin/compact" -d '{"graph":"fb"}' | grep -q '"batches_folded":1' || {
+  echo "mmap-smoke: /admin/compact did not fold the mutation" >&2
+  exit 1
+}
+
 # Graceful drain: SIGTERM must exit 0 (Catalog.Close unmaps retired mappings).
+kill -TERM $PID
+wait $PID || { echo "mmap-smoke: seaserve exited non-zero on SIGTERM" >&2; exit 1; }
+trap - EXIT
+
+# --- Reboot on the compacted snapshot: still mapped, mutation kept. ---
+boot "$DIR/small.snap" "$DIR/compacted.log" -journal "$DIR/small.journal"
+trap 'kill $PID 2>/dev/null || true' EXIT
+require_mapped "after compact and reboot"
+N=$(curl -sf "$BASE/healthz" | grep -o '"nodes":[0-9]*' | grep -o '[0-9]*')
+[ "$N" -eq $((X + 1)) ] || {
+  echo "mmap-smoke: compacted reboot serves $N nodes, want $((X + 1))" >&2
+  exit 1
+}
 kill -TERM $PID
 wait $PID || { echo "mmap-smoke: seaserve exited non-zero on SIGTERM" >&2; exit 1; }
 trap - EXIT
